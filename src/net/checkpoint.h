@@ -22,35 +22,47 @@
 // cluster auditor re-checks offline by replaying every checkpointed frame
 // through the confidentiality auditor (harness/cluster.cpp).
 //
-// Wire format (replay/codec.h conventions: little-endian, length-prefixed,
-// fully bounds-checked reader):
+// Wire format, version 2 (replay/codec.h conventions: little-endian,
+// length-prefixed, fully bounds-checked reader):
 //
 //   u64   magic   "CGDSTATE"
 //   u32   version (kCheckpointVersion)
-//   ...   config binding + clock binding + progress (see NodeCheckpoint)
-//   u64   event count, then per event: i64 round, u8 kind, fields
+//   ...   events, each: i64 round, u8 kind, fields (see CheckpointEvent)
+//   ---   fixed-size trailer, 90 bytes:
+//   ...   config binding + clock binding + round + resume_count
+//   u64   event count
 //   u64   FNV-1a over every preceding byte
 //
-// Readers reject truncation, any bit flip (checksum), unknown versions or
-// event kinds, non-monotone event rounds, and events past the checkpoint
-// round - a corrupted or tampered state file degrades into a clean load
-// error, never into a trusted resume. Staleness (a file from a different
-// cluster run) is caught by validate_checkpoint_clock(): the shared epoch
-// the runner distributes must match the one the file was written under.
+// Everything that changes on every save sits after the journal, so a live
+// CheckpointJournal keeps the file image encoded as events happen and its
+// FNV-1a state running over it: a save hashes only the bytes appended since
+// the previous save, then adds the trailer (DESIGN.md section 14).
+//
+// Readers verify the checksum before parsing any field - so truncation and
+// any bit flip are rejected first - then reject unknown versions or event
+// kinds, inject destination sets over a universe other than n, non-monotone
+// event rounds, and events past the checkpoint round. FNV-1a is not a MAC,
+// so every field is still treated as outside input: a corrupted or
+// tampered state file degrades into a clean load error, never into a
+// trusted resume. Staleness (a file from a different cluster
+// run) is caught by validate_checkpoint_clock(): the shared epoch the
+// runner distributes must match the one the file was written under.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "common/bitset.h"
 #include "common/types.h"
 #include "congos/config.h"
+#include "replay/codec.h"
 
 namespace congos::net {
 
 inline constexpr std::uint64_t kCheckpointMagic = 0x4554415453444743ull;  // "CGDSTATE"
-inline constexpr std::uint32_t kCheckpointVersion = 1;
+inline constexpr std::uint32_t kCheckpointVersion = 2;
 
 /// One journaled state mutation, in the order it happened.
 struct CheckpointEvent {
@@ -98,6 +110,40 @@ struct NodeCheckpoint {
   friend bool operator==(const NodeCheckpoint&, const NodeCheckpoint&) = default;
 };
 
+/// A state file image kept encoded as it grows: the header, then each event
+/// appended in its on-disk encoding the moment it happens. seal() folds the
+/// bytes appended since the previous seal into the running FNV-1a state and
+/// adds the trailer, so the cost of a save does not grow with the journal.
+class CheckpointJournal {
+ public:
+  CheckpointJournal();
+
+  void append_inject(Round round, std::uint64_t seq, Round deadline,
+                     const DynamicBitset& dest, std::span<const std::uint8_t> data);
+  void append_recv(Round round, std::span<const std::uint8_t> frame);
+  void append(const CheckpointEvent& e);
+
+  /// Decodes the journaled events; `n` and `round` bound them as
+  /// decode_checkpoint() would.
+  std::vector<CheckpointEvent> events(std::uint64_t n, Round round) const;
+
+  /// The complete file for `meta`'s bindings and progress (its `events`
+  /// are ignored: the journal's own stand in). The view stays valid until
+  /// the next call that modifies this journal.
+  std::span<const std::uint8_t> seal(const NodeCheckpoint& meta);
+
+ private:
+  /// Removes the previous seal's trailer before the image changes again.
+  void unseal();
+
+  replay::ByteWriter w_;
+  std::uint64_t count_ = 0;
+  bool sealed_ = false;
+  /// FNV-1a state over the first hashed_ bytes of w_.
+  std::uint64_t hash_ = replay::kFnvOffset;
+  std::size_t hashed_ = 0;
+};
+
 /// Serializes `ck` (including the trailing whole-file checksum).
 std::vector<std::uint8_t> encode_checkpoint(const NodeCheckpoint& ck);
 
@@ -107,10 +153,11 @@ bool decode_checkpoint(const std::uint8_t* data, std::size_t len,
 bool decode_checkpoint(const std::vector<std::uint8_t>& bytes, NodeCheckpoint* out,
                        std::string* error);
 
-/// Atomic durable write: the bytes land in `path + ".tmp"`, are fsynced,
-/// then renamed over `path`, so a crash mid-write leaves the previous
-/// complete file (or nothing), never a torn one.
-bool write_checkpoint_file(const std::string& path, const NodeCheckpoint& ck,
+/// Atomic durable write of an encoded state file: the bytes land in
+/// `path + ".tmp"`, are fsynced, then renamed over `path`, so a crash
+/// mid-write leaves the previous complete file (or nothing), never a torn
+/// one.
+bool write_checkpoint_file(const std::string& path, std::span<const std::uint8_t> bytes,
                            std::string* error);
 
 /// Reads and fully validates `path`.

@@ -122,13 +122,13 @@ bool NodeRuntime::resume(const NodeCheckpoint& ck, std::string* error) {
   while (next < ck.events.size()) apply_journal_event(ck.events[next++]);
   replaying_ = false;
 
-  journal_ = ck.events;
   resume_count_ = ck.resume_count + 1;
   resumed_at_ = ck.round;
   return true;
 }
 
 void NodeRuntime::apply_journal_event(const CheckpointEvent& e) {
+  journal_.append(e);
   if (e.kind == CheckpointEvent::Kind::kInject) {
     sim::Rumor rumor;
     rumor.uid = RumorUid{cfg_.id, e.seq};
@@ -159,7 +159,7 @@ void NodeRuntime::set_clock_binding(std::int64_t epoch_ms, std::int64_t round_ms
   round_ms_ = round_ms;
 }
 
-NodeCheckpoint NodeRuntime::make_checkpoint() const {
+NodeCheckpoint NodeRuntime::checkpoint_meta() const {
   NodeCheckpoint ck;
   ck.id = cfg_.id;
   ck.n = cfg_.n;
@@ -172,7 +172,12 @@ NodeCheckpoint NodeRuntime::make_checkpoint() const {
   ck.round_ms = round_ms_;
   ck.round = now_;
   ck.resume_count = resume_count_;
-  ck.events = journal_;
+  return ck;
+}
+
+NodeCheckpoint NodeRuntime::make_checkpoint() const {
+  NodeCheckpoint ck = checkpoint_meta();
+  ck.events = journal_.events(cfg_.n, now_);
   return ck;
 }
 
@@ -181,7 +186,7 @@ bool NodeRuntime::save_checkpoint(std::string* error) {
     if (error != nullptr) *error = "no state_path configured";
     return false;
   }
-  if (!write_checkpoint_file(cfg_.state_path, make_checkpoint(), error)) {
+  if (!write_checkpoint_file(cfg_.state_path, journal_.seal(checkpoint_meta()), error)) {
     return false;
   }
   ++checkpoint_writes_;
@@ -226,13 +231,7 @@ void NodeRuntime::handle_datagram(ProcessId /*from_hint*/,
     ++frames_received_;
     if (dec.env.from < last_heard_.size()) last_heard_[dec.env.from] = now_;
     log_line(encode_recv_event(now_, frame));
-    if (journaling_) {
-      CheckpointEvent ev;
-      ev.round = now_;
-      ev.kind = CheckpointEvent::Kind::kRecv;
-      ev.frame.assign(frame.begin(), frame.end());
-      journal_.push_back(std::move(ev));
-    }
+    if (journaling_) journal_.append_recv(now_, frame);
     inbox_.push_back(std::move(dec.env));
   }
 }
@@ -280,14 +279,7 @@ void NodeRuntime::inject(std::uint64_t seq, Round deadline, DynamicBitset dest,
   rumor.injected_at = now_;
   log_line(encode_inject_event(now_, rumor));
   if (journaling_) {
-    CheckpointEvent ev;
-    ev.round = now_;
-    ev.kind = CheckpointEvent::Kind::kInject;
-    ev.seq = seq;
-    ev.deadline = deadline;
-    ev.dest = rumor.dest;
-    ev.data = rumor.data;
-    journal_.push_back(std::move(ev));
+    journal_.append_inject(now_, seq, deadline, rumor.dest, rumor.data);
   }
   ++injections_;
   process_->inject(rumor);

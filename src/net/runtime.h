@@ -92,7 +92,8 @@ class NodeRuntime final : public sim::DeliveryListener {
   /// Current state as a checkpoint value (config + clock binding + journal).
   NodeCheckpoint make_checkpoint() const;
 
-  /// Atomically rewrites cfg.state_path with make_checkpoint().
+  /// Atomically rewrites cfg.state_path with the encoding of
+  /// make_checkpoint(), sealed from the live journal.
   bool save_checkpoint(std::string* error);
 
   Round now() const { return now_; }
@@ -163,8 +164,11 @@ class NodeRuntime final : public sim::DeliveryListener {
   void log_line(const std::string& line);
   /// Shared start()/resume() setup: log file, partitions, process stack.
   bool boot(const char* log_mode, std::string* error);
-  /// Re-applies one journaled mutation at its original round during resume.
+  /// Re-applies one journaled mutation at its original round during
+  /// resume, and journals it again.
   void apply_journal_event(const CheckpointEvent& e);
+  /// make_checkpoint() without the events.
+  NodeCheckpoint checkpoint_meta() const;
 
   NodeConfig cfg_;
   Transport* transport_;
@@ -197,8 +201,9 @@ class NodeRuntime final : public sim::DeliveryListener {
 
   // -- crash/restart survival (DESIGN.md section 14) --------------------------
   /// Ordered history of every state mutation since round 0 (injections and
-  /// accepted frames), carried across resumes; this *is* the durable state.
-  std::vector<CheckpointEvent> journal_;
+  /// accepted frames), carried across resumes and kept in its state-file
+  /// encoding; this *is* the durable state.
+  CheckpointJournal journal_;
   bool journaling_ = false;
   /// True while resume() re-runs the journal: sends and log lines are
   /// suppressed, everything else executes exactly as it did live.

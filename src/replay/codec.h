@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -53,6 +54,10 @@ class ByteWriter {
   }
   void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
   void boolean(bool v) { u8(v ? 1 : 0); }
+  /// Raw bytes, no length prefix.
+  void bytes(const std::uint8_t* data, std::size_t len) {
+    buf_.insert(buf_.end(), data, data + len);
+  }
   void f64(double v) {
     std::uint64_t bits;
     std::memcpy(&bits, &v, sizeof bits);
@@ -77,6 +82,8 @@ class ByteWriter {
 
   const std::vector<std::uint8_t>& bytes() const { return buf_; }
   std::vector<std::uint8_t> take() { return std::move(buf_); }
+  /// Drops everything past the first `len` bytes.
+  void truncate(std::size_t len) { buf_.resize(len); }
 
  private:
   std::vector<std::uint8_t> buf_;
@@ -110,6 +117,14 @@ class ByteReader {
   }
   std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
   bool boolean() { return u8() != 0; }
+  /// View of the next `n` raw bytes; empty (and the stream failed) when
+  /// fewer than `n` remain.
+  std::span<const std::uint8_t> bytes(std::uint64_t n) {
+    if (!take(n)) return {};
+    const std::span<const std::uint8_t> v(data_ + pos_, n);
+    pos_ += n;
+    return v;
+  }
   double f64() {
     const std::uint64_t bits = u64();
     double v;

@@ -1,15 +1,19 @@
 // Durable checkpoint coverage (DESIGN.md section 14): the codec rejects
 // every corruption we can synthesize (truncation at each offset, each bit
-// flipped, foreign versions, non-monotone journals, stale clock bindings),
-// the file writer is atomic, and - the core guarantee - a NodeRuntime
-// resumed from a checkpoint is byte-for-byte the process that would have
-// existed had the crash never happened, pinned over a deterministic
-// SimLink cluster including the partially-buffered-inbox case.
+// flipped, foreign versions, forged destination universes, non-monotone
+// journals, stale clock bindings), the file writer is atomic, and - the
+// core guarantee - a NodeRuntime resumed from its state file is
+// byte-for-byte the process that would have existed had the crash never
+// happened, pinned over a deterministic SimLink cluster including the
+// partially-buffered-inbox case. Every file a live runtime saves must equal
+// encode_checkpoint(make_checkpoint()), the reference encoding.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -57,6 +61,19 @@ net::NodeCheckpoint sample_checkpoint() {
   return ck;
 }
 
+void put_u64_at(std::vector<std::uint8_t>& bytes, std::size_t at, std::uint64_t v) {
+  for (int b = 0; b < 8; ++b) {
+    bytes[at + static_cast<std::size_t>(b)] = static_cast<std::uint8_t>(v >> (8 * b));
+  }
+}
+
+/// Recomputes the trailing checksum after a test patched a field, so only
+/// the decoder's field checks can reject the file.
+void reseal(std::vector<std::uint8_t>& bytes) {
+  const std::size_t body = bytes.size() - 8;
+  put_u64_at(bytes, body, replay::fnv1a(bytes.data(), body));
+}
+
 TEST(CheckpointCodec, RoundTripsAllFields) {
   const net::NodeCheckpoint ck = sample_checkpoint();
   const std::vector<std::uint8_t> bytes = net::encode_checkpoint(ck);
@@ -93,20 +110,43 @@ TEST(CheckpointCodec, RejectsEveryBitFlip) {
 }
 
 TEST(CheckpointCodec, RejectsUnknownVersion) {
-  // Patch the version field (u32 after the u64 magic) and re-seal the
-  // checksum so only the version check can reject it.
-  std::vector<std::uint8_t> bytes = net::encode_checkpoint(sample_checkpoint());
-  bytes[8] = 0x63;
-  const std::size_t body = bytes.size() - 8;
-  const std::uint64_t sum = replay::fnv1a(bytes.data(), body);
-  for (int b = 0; b < 8; ++b) {
-    bytes[body + static_cast<std::size_t>(b)] =
-        static_cast<std::uint8_t>(sum >> (8 * b));
+  // Patch the version field (the u32 right after the u64 magic) and re-seal
+  // the checksum so only the version check can reject it. Version 1 put the
+  // bindings before the journal; it is foreign now.
+  for (const std::uint8_t version : {std::uint8_t{1}, std::uint8_t{0x63}}) {
+    std::vector<std::uint8_t> bytes = net::encode_checkpoint(sample_checkpoint());
+    bytes[8] = version;
+    reseal(bytes);
+    net::NodeCheckpoint back;
+    std::string err;
+    EXPECT_FALSE(net::decode_checkpoint(bytes, &back, &err));
+    EXPECT_NE(err.find("version"), std::string::npos) << err;
   }
+}
+
+TEST(CheckpointCodec, RejectsForgedDestinationUniverse) {
+  // The checksum is no MAC: a re-sealed file must still not size a bitset
+  // from an unchecked universe. Layout: 12-byte header, then the inject
+  // event's i64 round, u8 kind, u64 seq, i64 deadline and the u64 universe;
+  // the trailer's u64 n follows its u32 id, 90 bytes from the end.
+  const std::uint64_t huge = std::uint64_t{1} << 62;
+  const std::vector<std::uint8_t> good = net::encode_checkpoint(sample_checkpoint());
+  const std::size_t universe_at = 12 + 8 + 1 + 8 + 8;
+  const std::size_t n_at = good.size() - 90 + 4;
+
+  std::vector<std::uint8_t> bad = good;
+  put_u64_at(bad, universe_at, huge);
+  reseal(bad);
   net::NodeCheckpoint back;
   std::string err;
-  EXPECT_FALSE(net::decode_checkpoint(bytes, &back, &err));
-  EXPECT_NE(err.find("version"), std::string::npos) << err;
+  EXPECT_FALSE(net::decode_checkpoint(bad, &back, &err));
+  EXPECT_NE(err.find("universe"), std::string::npos) << err;
+
+  // A universe that matches a forged n is caught by n's range.
+  put_u64_at(bad, n_at, huge);
+  reseal(bad);
+  EXPECT_FALSE(net::decode_checkpoint(bad, &back, &err));
+  EXPECT_NE(err.find("config binding out of range"), std::string::npos) << err;
 }
 
 TEST(CheckpointCodec, RejectsNonMonotoneJournalRounds) {
@@ -141,7 +181,7 @@ TEST(CheckpointFile, AtomicWriteReadBackAndRewrite) {
       "checkpoint_io_" + std::to_string(::getpid()) + ".ckpt";
   net::NodeCheckpoint ck = sample_checkpoint();
   std::string err;
-  ASSERT_TRUE(net::write_checkpoint_file(path, ck, &err)) << err;
+  ASSERT_TRUE(net::write_checkpoint_file(path, net::encode_checkpoint(ck), &err)) << err;
   // The temp file must be gone: a crash between write and rename leaves
   // either the old complete file or the new one, never a torn hybrid.
   EXPECT_NE(::access((path + ".tmp").c_str(), F_OK), 0);
@@ -152,7 +192,7 @@ TEST(CheckpointFile, AtomicWriteReadBackAndRewrite) {
 
   ck.round = 21;
   ck.resume_count = 2;
-  ASSERT_TRUE(net::write_checkpoint_file(path, ck, &err)) << err;
+  ASSERT_TRUE(net::write_checkpoint_file(path, net::encode_checkpoint(ck), &err)) << err;
   ASSERT_TRUE(net::read_checkpoint_file(path, &back, &err)) << err;
   EXPECT_EQ(back.round, 21);
   EXPECT_EQ(back.resume_count, 2u);
@@ -175,6 +215,19 @@ TEST(CheckpointFile, RejectsGarbageAndMissingFiles) {
 
 // -- resume equivalence over a deterministic SimLink cluster ------------------
 
+constexpr std::int64_t kEpochMs = 1754600000123;
+constexpr std::int64_t kRoundMs = 40;
+
+std::string state_path(ProcessId p) {
+  return "resume_state_" + std::to_string(::getpid()) + "_" + std::to_string(p) +
+         ".ckpt";
+}
+
+std::vector<std::uint8_t> read_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
 net::NodeConfig node_cfg(ProcessId p, std::size_t n, std::uint64_t seed,
                          Round max_rounds) {
   net::NodeConfig cfg;
@@ -182,7 +235,7 @@ net::NodeConfig node_cfg(ProcessId p, std::size_t n, std::uint64_t seed,
   cfg.n = n;
   cfg.seed = seed;
   cfg.max_rounds = max_rounds;
-  cfg.journal = true;  // checkpoint via make_checkpoint(), no file needed
+  cfg.state_path = state_path(p);
   cfg.congos.allow_degenerate = false;
   cfg.congos.retransmit.enabled = true;
   cfg.congos.retransmit.max_link_delay = 1;
@@ -210,9 +263,14 @@ struct ResumableCluster {
     for (ProcessId p = 0; p < n; ++p) {
       nodes.push_back(std::make_unique<net::NodeRuntime>(
           node_cfg(p, n, seed, max_rounds), &link.endpoint(p)));
+      nodes.back()->set_clock_binding(kEpochMs, kRoundMs);
       std::string err;
       EXPECT_TRUE(nodes.back()->start(&err)) << err;
     }
+  }
+
+  ~ResumableCluster() {
+    for (ProcessId p = 0; p < n; ++p) std::remove(state_path(p).c_str());
   }
 
   void poll_into(ProcessId p) {
@@ -232,12 +290,27 @@ struct ResumableCluster {
     }
   }
 
+  /// Saves node p's state file, checks it is exactly the reference
+  /// encoding of make_checkpoint(), and returns what a restart would load.
+  net::NodeCheckpoint save(ProcessId p) {
+    std::string err;
+    EXPECT_TRUE(nodes[p]->save_checkpoint(&err)) << err;
+    const net::NodeCheckpoint live = nodes[p]->make_checkpoint();
+    EXPECT_EQ(read_bytes(state_path(p)), net::encode_checkpoint(live))
+        << "node " << p << " at round " << live.round;
+    net::NodeCheckpoint loaded;
+    EXPECT_TRUE(net::read_checkpoint_file(state_path(p), &loaded, &err)) << err;
+    EXPECT_TRUE(loaded == live);
+    return loaded;
+  }
+
   /// Kill node p and bring up a fresh runtime resumed from `ck` on the
   /// same link endpoint.
   void crash_and_resume(ProcessId p, const net::NodeCheckpoint& ck) {
     nodes[p].reset();
     nodes[p] = std::make_unique<net::NodeRuntime>(
         node_cfg(p, n, seed, max_rounds), &link.endpoint(p));
+    nodes[p]->set_clock_binding(kEpochMs, kRoundMs);
     std::string err;
     ASSERT_TRUE(nodes[p]->resume(ck, &err)) << err;
   }
@@ -283,7 +356,7 @@ TEST(NodeRuntimeResume, ResumedNodeMatchesUninterruptedRun) {
   b.link.advance_round();
   const Round target = b.link.round();
   for (ProcessId p = 0; p < n; ++p) b.poll_into(p);
-  const net::NodeCheckpoint ck = b.nodes[victim]->make_checkpoint();
+  const net::NodeCheckpoint ck = b.save(victim);
   EXPECT_EQ(ck.round, 14);
   b.crash_and_resume(victim, ck);
   EXPECT_EQ(b.nodes[victim]->resume_count(), 1u);
@@ -302,29 +375,49 @@ TEST(NodeRuntimeResume, ResumedNodeMatchesUninterruptedRun) {
 }
 
 TEST(NodeRuntimeResume, JournalSurvivesChainedResumes) {
-  // Resume-of-a-resume: the journal carried forward must keep the full
-  // history, not just the events since the last incarnation.
+  // Resume-of-a-resume from the state file: the journal carried forward
+  // must keep the full history, not just the events since the last
+  // incarnation, and every save - before and after each resume - must
+  // seal exactly the reference encoding.
   const std::size_t n = 4;
   const Round rounds = 48;  // deadline-40 pipeline delivers near round 41
+  const ProcessId victim = 3;
+  const auto inject = [&](ResumableCluster& c) {
+    DynamicBitset dest(n);
+    dest.set(victim);
+    c.run_rounds(1);
+    c.nodes[0]->inject(1, 40, dest, {0x42});
+  };
+
+  ResumableCluster twin(n, 11, rounds);
+  inject(twin);
+  twin.run_rounds(rounds - 1);
+
   ResumableCluster c(n, 11, rounds);
-  DynamicBitset dest(n);
-  dest.set(3);
-  c.run_rounds(1);
-  c.nodes[0]->inject(1, 40, dest, {0x42});
-  c.run_rounds(7);
+  inject(c);
+  c.run_rounds(3);
+  c.save(victim);
+  c.run_rounds(4);
+  const net::NodeCheckpoint ck1 = c.save(victim);
+  c.crash_and_resume(victim, ck1);
+  c.run_rounds(5);
+  c.save(victim);
+  c.run_rounds(3);
 
-  net::NodeCheckpoint ck1 = c.nodes[3]->make_checkpoint();
-  c.crash_and_resume(3, ck1);
-  c.run_rounds(8);
-
-  net::NodeCheckpoint ck2 = c.nodes[3]->make_checkpoint();
+  const net::NodeCheckpoint ck2 = c.save(victim);
   EXPECT_EQ(ck2.resume_count, 1u);
   EXPECT_GE(ck2.events.size(), ck1.events.size());
-  c.crash_and_resume(3, ck2);
-  EXPECT_EQ(c.nodes[3]->resume_count(), 2u);
-  c.run_rounds(rounds - 16);
-  EXPECT_TRUE(c.nodes[3]->healthy()) << c.nodes[3]->stats_json();
-  EXPECT_GE(c.nodes[3]->deliveries(), 1u);
+  c.crash_and_resume(victim, ck2);
+  EXPECT_EQ(c.nodes[victim]->resume_count(), 2u);
+  c.run_rounds(2);
+  EXPECT_EQ(c.save(victim).resume_count, 2u);
+  c.run_rounds(rounds - 18);
+
+  for (ProcessId p = 0; p < n; ++p) {
+    EXPECT_EQ(twin.fingerprint(p), c.fingerprint(p)) << "node " << p;
+  }
+  EXPECT_TRUE(c.nodes[victim]->healthy()) << c.nodes[victim]->stats_json();
+  EXPECT_GE(c.nodes[victim]->deliveries(), 1u);
 }
 
 TEST(NodeRuntimeResume, RejectsMismatchedConfigBinding) {
