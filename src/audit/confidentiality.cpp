@@ -8,48 +8,40 @@ namespace congos::audit {
 
 ConfidentialityAuditor::ConfidentialityAuditor(std::size_t n,
                                                const partition::PartitionSet* partitions)
-    : n_(n), partitions_(partitions), knowledge_(n) {}
-
-std::uint64_t ConfidentialityAuditor::count(ViolationKind kind) const {
-  std::uint64_t c = 0;
-  for (const auto& v : violations_) {
-    if (v.kind == kind) ++c;
-  }
-  return c;
-}
+    : partitions_(partitions),
+      knowledge_(n, partitions != nullptr ? partitions->count() : 0) {}
 
 void ConfidentialityAuditor::on_inject(const sim::Rumor& rumor, Round /*now*/) {
-  rumors_.emplace(rumor.uid, RumorInfo{rumor.dest, rumor.uid.source});
+  knowledge_.note_inject(knowledge_.intern(rumor.uid), rumor.dest);
 }
 
-bool ConfidentialityAuditor::curious(ProcessId p, const RumorUid& uid) const {
-  auto it = rumors_.find(uid);
-  if (it == rumors_.end()) return false;  // unknown rumor (foreign system)
-  return p != it->second.source && !it->second.dest.test(p);
+void ConfidentialityAuditor::flag(ViolationKind kind, ProcessId p, const RumorUid& uid,
+                                  Round now, bool record) {
+  ++counts_[static_cast<std::size_t>(kind)];
+  if (record) violations_.push_back(Violation{kind, p, uid, now});
 }
 
 void ConfidentialityAuditor::saw_full(ProcessId p, const RumorUid& uid, Round now) {
-  const bool already = knowledge_.knows_full(p, uid);
-  knowledge_.note_full(p, uid);
-  if (!already && curious(p, uid)) {
-    violations_.push_back(Violation{ViolationKind::kFullLeak, p, uid, now});
+  auto& r = knowledge_.intern(uid);
+  if (knowledge_.note_full(r, p) && r.curious.test(p)) {
+    flag(ViolationKind::kFullLeak, p, uid, now, true);
   }
 }
 
-void ConfidentialityAuditor::saw_fragment(ProcessId p, const core::Fragment& frag,
-                                          Round now) {
-  const RumorUid uid = frag.meta.key.rumor;
-  const bool could_before = knowledge_.can_reconstruct(p, uid);
-  knowledge_.note_fragment(p, frag.meta.key, frag.meta.num_groups);
-  if (!curious(p, uid)) return;
-  if (partitions_ != nullptr) {
-    const auto& part = (*partitions_)[frag.meta.key.partition];
-    if (part.group_of(p) != frag.meta.key.group) {
-      violations_.push_back(Violation{ViolationKind::kForeignFragment, p, uid, now});
+void ConfidentialityAuditor::saw_fragments(ProcessId p,
+                                           std::span<const core::Fragment> frags,
+                                           Round now) {
+  for (const core::Fragment& frag : frags) {
+    const core::FragmentKey& key = frag.meta.key;
+    auto& r = knowledge_.intern(key.rumor);
+    const bool reconstructs = knowledge_.note_fragment(r, p, key, frag.meta.num_groups);
+    if (!r.curious.test(p)) continue;
+    if (partitions_ != nullptr &&
+        (*partitions_)[key.partition].group_of(p) != key.group) {
+      flag(ViolationKind::kForeignFragment, p, key.rumor, now,
+           foreign_recorded_.insert((std::uint64_t{r.id} << 32) | p).second);
     }
-  }
-  if (!could_before && knowledge_.can_reconstruct(p, uid)) {
-    violations_.push_back(Violation{ViolationKind::kFragmentSetLeak, p, uid, now});
+    if (reconstructs) flag(ViolationKind::kFragmentSetLeak, p, key.rumor, now, true);
   }
 }
 
@@ -72,14 +64,12 @@ void ConfidentialityAuditor::on_envelope_delivered(const sim::Envelope& e, Round
         }
         switch (inner->kind()) {
           case sim::PayloadKind::kFragment:
-            saw_fragment(p, static_cast<const core::FragmentBody*>(inner)->fragment,
-                         now);
+            saw_fragments(
+                p, {&static_cast<const core::FragmentBody*>(inner)->fragment, 1}, now);
             break;
           case sim::PayloadKind::kProxyShare:
-            for (const auto& f :
-                 static_cast<const core::ProxyShareBody*>(inner)->proxied) {
-              saw_fragment(p, f, now);
-            }
+            saw_fragments(p, static_cast<const core::ProxyShareBody*>(inner)->proxied,
+                          now);
             break;
           case sim::PayloadKind::kHitSetShare:
           case sim::PayloadKind::kDistributionReport:
@@ -96,15 +86,11 @@ void ConfidentialityAuditor::on_envelope_delivered(const sim::Envelope& e, Round
       return;
     }
     case sim::PayloadKind::kProxyRequest:
-      for (const auto& f :
-           static_cast<const core::ProxyRequestPayload*>(body)->fragments) {
-        saw_fragment(p, f, now);
-      }
+      saw_fragments(p, static_cast<const core::ProxyRequestPayload*>(body)->fragments,
+                    now);
       return;
     case sim::PayloadKind::kPartials:
-      for (const auto& f : static_cast<const core::PartialsPayload*>(body)->fragments) {
-        saw_fragment(p, f, now);
-      }
+      saw_fragments(p, static_cast<const core::PartialsPayload*>(body)->fragments, now);
       return;
     case sim::PayloadKind::kDirectRumor:
       saw_full(p, static_cast<const core::DirectRumorPayload*>(body)->rumor.uid, now);
@@ -134,8 +120,8 @@ void ConfidentialityAuditor::on_envelope_delivered(const sim::Envelope& e, Round
 
 std::size_t ConfidentialityAuditor::weakest_rumor_coalition() const {
   std::size_t best = SIZE_MAX;
-  for (const auto& [uid, _] : rumors_) {
-    best = std::min(best, min_breaking_coalition(uid));
+  for (const auto& r : knowledge_.rumors()) {
+    best = std::min(best, min_breaking_coalition(r.uid));
   }
   return best;
 }
@@ -146,33 +132,19 @@ bool ConfidentialityAuditor::breakable_by_coalition(const RumorUid& uid,
 }
 
 std::size_t ConfidentialityAuditor::min_breaking_coalition(const RumorUid& uid) const {
-  auto rit = rumors_.find(uid);
-  if (rit == rumors_.end()) return SIZE_MAX;
-
-  std::size_t best = SIZE_MAX;
-  // A single curious process that can already reconstruct -> coalition of 1.
-  // Otherwise: per partition, a coalition needs one curious holder per group;
-  // under the structural invariant each curious process contributes at most
-  // one group per partition, so the minimum is num_groups when every group's
-  // fragment escaped, else impossible for that partition.
-  FlatMap<PartitionIndex, std::uint64_t> escaped;  // group mask
-  GroupIndex groups = 0;
-  for (ProcessId p = 0; p < n_; ++p) {
-    if (!curious(p, uid)) continue;
-    if (knowledge_.can_reconstruct(p, uid)) return 1;
-    const auto* masks = knowledge_.partition_masks(p, uid);
-    if (masks == nullptr) continue;
-    for (const auto& [l, mask] : *masks) escaped[l] |= mask;
-  }
-  if (partitions_ != nullptr && partitions_->count() > 0) {
-    groups = (*partitions_)[0].num_groups();
-  }
-  if (groups == 0) return best;
-  const std::uint64_t want = (groups >= 64) ? ~0ull : ((1ull << groups) - 1);
-  for (const auto& [l, mask] : escaped) {
-    if ((mask & want) == want) best = std::min<std::size_t>(best, groups);
-  }
-  return best;
+  const KnowledgeTracker::Rumor* r = knowledge_.find(uid);
+  if (r == nullptr) return SIZE_MAX;
+  // No curious process (a rumor never injected) means SIZE_MAX. A single curious
+  // process that can already reconstruct is a coalition of 1. Otherwise, per partition,
+  // a coalition needs one curious holder per group; under the structural invariant each
+  // curious process contributes at most one group per partition, so the minimum is
+  // num_groups when every group's fragment escaped, else impossible for that partition.
+  if (r->reconstruct.intersects(r->curious)) return 1;
+  const GroupIndex groups = (partitions_ != nullptr && partitions_->count() > 0)
+                                ? (*partitions_)[0].num_groups()
+                                : 0;
+  const bool escaped = knowledge_.coalition_can_reconstruct(r->curious.to_vector(), uid);
+  return groups != 0 && escaped ? groups : SIZE_MAX;
 }
 
 }  // namespace congos::audit

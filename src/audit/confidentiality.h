@@ -19,9 +19,12 @@
 // kFullLeak counts by design - that is experiment E2's contrast column.
 #pragma once
 
+#include <array>
+#include <span>
 #include <vector>
 
 #include "audit/knowledge.h"
+#include "common/flat_set.h"
 #include "partition/partition.h"
 #include "sim/engine.h"
 
@@ -53,8 +56,13 @@ class ConfidentialityAuditor final : public sim::ExecutionObserver {
 
   // -- results ---------------------------------------------------------------
 
+  /// The first record of each (kind, process, rumor); a repeated foreign
+  /// fragment is counted by count() but not recorded again.
   const std::vector<Violation>& violations() const { return violations_; }
-  std::uint64_t count(ViolationKind kind) const;
+  /// Violations of `kind`, one per observation.
+  std::uint64_t count(ViolationKind kind) const {
+    return counts_[static_cast<std::size_t>(kind)];
+  }
   /// Confidentiality violations in the paper's sense (Definition 2): a
   /// non-destination learned (or could reconstruct) a rumor.
   std::uint64_t leaks() const {
@@ -70,8 +78,8 @@ class ConfidentialityAuditor final : public sim::ExecutionObserver {
   /// fragment escaped to some curious process and tau >= num_groups.
   bool breakable_by_coalition(const RumorUid& uid, std::size_t tau) const;
 
-  /// Smallest curious coalition able to reconstruct `uid` (0 if a single
-  /// curious process knows it outright; SIZE_MAX if impossible so far).
+  /// Smallest curious coalition able to reconstruct `uid` (1 if a single
+  /// curious process can reconstruct it; SIZE_MAX if impossible so far).
   std::size_t min_breaking_coalition(const RumorUid& uid) const;
 
   /// Minimum of min_breaking_coalition over every injected rumor: the size
@@ -84,20 +92,15 @@ class ConfidentialityAuditor final : public sim::ExecutionObserver {
   std::uint64_t unknown_payloads() const { return unknown_payloads_; }
 
  private:
-  struct RumorInfo {
-    DynamicBitset dest;
-    ProcessId source = kNoProcess;
-  };
-
-  std::size_t n_;
   const partition::PartitionSet* partitions_;
   KnowledgeTracker knowledge_;
-  FlatMap<RumorUid, RumorInfo> rumors_;
+  std::array<std::uint64_t, 3> counts_{};  // by ViolationKind
   std::vector<Violation> violations_;
+  FlatSet<std::uint64_t> foreign_recorded_;  // rumor id << 32 | process
   std::uint64_t unknown_payloads_ = 0;
 
-  bool curious(ProcessId p, const RumorUid& uid) const;
-  void saw_fragment(ProcessId p, const core::Fragment& frag, Round now);
+  void flag(ViolationKind kind, ProcessId p, const RumorUid& uid, Round now, bool record);
+  void saw_fragments(ProcessId p, std::span<const core::Fragment> frags, Round now);
   void saw_full(ProcessId p, const RumorUid& uid, Round now);
 };
 

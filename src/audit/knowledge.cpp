@@ -1,75 +1,62 @@
 #include "audit/knowledge.h"
 
+#include <algorithm>
+
 #include "common/assert.h"
 
 namespace congos::audit {
 
-namespace {
-constexpr std::uint64_t full_mask(GroupIndex groups) {
-  return (groups >= 64) ? ~0ull : ((1ull << groups) - 1);
+KnowledgeTracker::Rumor& KnowledgeTracker::intern(const RumorUid& uid) {
+  const auto id = static_cast<std::uint32_t>(rumors_.size());
+  const auto [it, added] = index_.try_emplace(uid, id);
+  if (added) {
+    const DynamicBitset none(n_);
+    rumors_.push_back(Rumor{id, uid, none, none, none});
+  }
+  return rumors_[it->second];
 }
-}  // namespace
 
-void KnowledgeTracker::note_fragment(ProcessId p, const core::FragmentKey& key,
+void KnowledgeTracker::note_inject(Rumor& r, const DynamicBitset& dest) {
+  if (r.injected) return;
+  r.injected = true;
+  r.curious.or_complement(dest);
+  if (r.uid.source < n_) r.curious.reset(r.uid.source);
+}
+
+bool KnowledgeTracker::note_fragment(Rumor& r, ProcessId p, const core::FragmentKey& key,
                                      GroupIndex num_groups) {
   CONGOS_ASSERT(p < n_);
   CONGOS_ASSERT_MSG(key.group < 64, "group bitmask limited to 64 groups");
-  PerRumor& pr = frags_[p][key.rumor];
-  pr.num_groups = num_groups;
-  pr.masks[key.partition] |= (1ull << key.group);
-}
-
-void KnowledgeTracker::note_full(ProcessId p, const RumorUid& uid) {
-  CONGOS_ASSERT(p < n_);
-  full_[p].insert(uid);
-}
-
-bool KnowledgeTracker::knows_full(ProcessId p, const RumorUid& uid) const {
-  return full_[p].contains(uid);
-}
-
-std::uint64_t KnowledgeTracker::fragment_mask(ProcessId p, const RumorUid& uid,
-                                              PartitionIndex l) const {
-  auto it = frags_[p].find(uid);
-  if (it == frags_[p].end()) return 0;
-  auto mit = it->second.masks.find(l);
-  return mit == it->second.masks.end() ? 0 : mit->second;
-}
-
-bool KnowledgeTracker::can_reconstruct(ProcessId p, const RumorUid& uid) const {
-  if (knows_full(p, uid)) return true;
-  auto it = frags_[p].find(uid);
-  if (it == frags_[p].end()) return false;
-  const std::uint64_t want = full_mask(it->second.num_groups);
-  for (const auto& [l, mask] : it->second.masks) {
-    if ((mask & want) == want) return true;
+  if (r.masks.empty()) r.num_groups = num_groups;
+  const std::size_t at = std::size_t{key.partition} * n_ + p;
+  if (at >= r.masks.size()) {
+    r.masks.resize(std::max<std::size_t>(partitions_, key.partition + 1ull) * n_, 0);
   }
-  return false;
+  std::uint64_t& mask = r.masks[at];
+  const std::uint64_t bit = 1ull << key.group;
+  if ((mask & bit) != 0) return false;
+  mask |= bit;
+  const std::uint64_t want = all_groups_mask(r.num_groups);
+  if ((mask & want) != want || r.reconstruct.test(p)) return false;
+  r.reconstruct.set(p);
+  return true;
 }
 
 bool KnowledgeTracker::coalition_can_reconstruct(
     const std::vector<ProcessId>& coalition, const RumorUid& uid) const {
-  GroupIndex groups = 0;
-  FlatMap<PartitionIndex, std::uint64_t> merged;
+  const Rumor* r = find(uid);
+  if (r == nullptr) return false;
   for (ProcessId p : coalition) {
-    if (knows_full(p, uid)) return true;
-    auto it = frags_[p].find(uid);
-    if (it == frags_[p].end()) continue;
-    groups = std::max(groups, it->second.num_groups);
-    for (const auto& [l, mask] : it->second.masks) merged[l] |= mask;
+    if (r->full.test(p)) return true;
   }
-  if (groups == 0) return false;
-  const std::uint64_t want = full_mask(groups);
-  for (const auto& [l, mask] : merged) {
-    if ((mask & want) == want) return true;
+  if (r->num_groups == 0) return false;
+  const std::uint64_t want = all_groups_mask(r->num_groups);
+  for (std::size_t base = 0; base < r->masks.size(); base += n_) {
+    std::uint64_t merged = 0;
+    for (ProcessId p : coalition) merged |= r->masks[base + p];
+    if ((merged & want) == want) return true;
   }
   return false;
-}
-
-const FlatMap<PartitionIndex, std::uint64_t>*
-KnowledgeTracker::partition_masks(ProcessId p, const RumorUid& uid) const {
-  auto it = frags_[p].find(uid);
-  return it == frags_[p].end() ? nullptr : &it->second.masks;
 }
 
 }  // namespace congos::audit

@@ -9,56 +9,94 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
+#include "common/bitset.h"
 #include "common/flat_map.h"
-#include "common/flat_set.h"
 #include "common/types.h"
 #include "congos/fragment.h"
 
 namespace congos::audit {
 
+/// The mask with one bit per group of a `groups`-group partition.
+constexpr std::uint64_t all_groups_mask(GroupIndex groups) {
+  return (groups >= 64) ? ~0ull : ((1ull << groups) - 1);
+}
+
 class KnowledgeTracker {
  public:
-  explicit KnowledgeTracker(std::size_t n) : n_(n), frags_(n), full_(n) {}
+  /// Everything known about one rumor, over all processes.
+  struct Rumor {
+    std::uint32_t id = 0;  // index in rumors()
+    RumorUid uid;
+    DynamicBitset curious;      // outside D and not the source (set by note_inject)
+    DynamicBitset full;         // saw the whole datum
+    DynamicBitset reconstruct;  // saw the datum or every group of some partition
+    GroupIndex num_groups = 0;  // from the rumor's first fragment
+    bool injected = false;
+    std::vector<std::uint64_t> masks{};  // group masks, partition-major: l*n + p
+  };
 
-  std::size_t n() const { return n_; }
+  /// `partitions` sizes a rumor's masks at its first fragment (0: unknown,
+  /// a higher partition index grows them).
+  KnowledgeTracker(std::size_t n, std::size_t partitions)
+      : n_(n), partitions_(partitions) {}
 
-  /// Process p saw the payload bytes of fragment `key` (num_groups of the
-  /// fragment's partition supplied for reconstruction accounting).
-  void note_fragment(ProcessId p, const core::FragmentKey& key, GroupIndex num_groups);
+  /// uid's record, created knowing nothing on first use (one probe).
+  Rumor& intern(const RumorUid& uid);
+  /// uid's record, or null if nothing about it was ever noted.
+  const Rumor* find(const RumorUid& uid) const {
+    auto it = index_.find(uid);
+    return it == index_.end() ? nullptr : &rumors_[it->second];
+  }
+  const std::vector<Rumor>& rumors() const { return rumors_; }  // in order of first use
 
-  /// Process p saw the whole rumor datum.
-  void note_full(ProcessId p, const RumorUid& uid);
+  /// r was injected with destination set `dest`; the first call wins.
+  void note_inject(Rumor& r, const DynamicBitset& dest);
+
+  /// Process p saw the payload bytes of fragment `key` of r. True iff p
+  /// could not reconstruct r before and can now.
+  bool note_fragment(Rumor& r, ProcessId p, const core::FragmentKey& key,
+                     GroupIndex num_groups);
+
+  /// Process p saw the whole datum of r. True iff it had not before.
+  bool note_full(Rumor& r, ProcessId p) {
+    if (r.full.test(p)) return false;
+    r.full.set(p);
+    r.reconstruct.set(p);
+    return true;
+  }
 
   /// True iff p saw the whole datum directly.
-  bool knows_full(ProcessId p, const RumorUid& uid) const;
-
-  /// Groups of (uid, partition) whose fragments p has seen, as a bitmask.
-  std::uint64_t fragment_mask(ProcessId p, const RumorUid& uid,
-                              PartitionIndex l) const;
+  bool knows_full(ProcessId p, const RumorUid& uid) const {
+    const Rumor* r = find(uid);
+    return r != nullptr && r->full.test(p);
+  }
 
   /// True iff p can reconstruct the rumor: saw it fully, or holds all groups
   /// of some partition.
-  bool can_reconstruct(ProcessId p, const RumorUid& uid) const;
+  bool can_reconstruct(ProcessId p, const RumorUid& uid) const {
+    const Rumor* r = find(uid);
+    return r != nullptr && r->reconstruct.test(p);
+  }
+
+  /// Groups of (uid, partition) whose fragments p has seen, as a bitmask.
+  std::uint64_t fragment_mask(ProcessId p, const RumorUid& uid, PartitionIndex l) const {
+    const Rumor* r = find(uid);
+    const std::size_t at = std::size_t{l} * n_ + p;
+    return r != nullptr && at < r->masks.size() ? r->masks[at] : 0;
+  }
 
   /// True iff the union of the coalition's fragments covers all groups of
   /// some partition (or some member knows the rumor outright).
   bool coalition_can_reconstruct(const std::vector<ProcessId>& coalition,
                                  const RumorUid& uid) const;
 
-  /// All (partition -> group mask) knowledge of p about uid.
-  const FlatMap<PartitionIndex, std::uint64_t>* partition_masks(
-      ProcessId p, const RumorUid& uid) const;
-
  private:
-  struct PerRumor {
-    GroupIndex num_groups = 0;
-    FlatMap<PartitionIndex, std::uint64_t> masks;  // group bitmask
-  };
-
   std::size_t n_;
-  std::vector<FlatMap<RumorUid, PerRumor>> frags_;  // per process
-  std::vector<FlatSet<RumorUid>> full_;             // per process
+  std::size_t partitions_;
+  FlatMap<RumorUid, std::uint32_t> index_;
+  std::vector<Rumor> rumors_;
 };
 
 }  // namespace congos::audit

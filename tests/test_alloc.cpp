@@ -19,9 +19,11 @@
 #include <new>
 #include <vector>
 
+#include "audit/confidentiality.h"
 #include "baseline/plain_gossip.h"
 #include "common/bitset.h"
 #include "common/thread_pool.h"
+#include "partition/bit_partition.h"
 #include "sim/engine.h"
 #include "sim/rumor.h"
 
@@ -153,6 +155,58 @@ TEST(AllocDiscipline, ShardedSteadyStateRoundIsAllocationFree) {
 
   EXPECT_GE(sent, static_cast<std::uint64_t>(kMeasured) * kN * kFanout);
   EXPECT_EQ(allocs, 0u) << "sharded steady-state rounds must not touch the heap";
+}
+
+
+// The confidentiality auditor's sighting path: once a rumor's first fragment
+// has been seen (which allocates its group masks), delivering more fragments
+// of it - repeats and new groups alike - must not touch the heap. Curious
+// processes get only their own group's fragments, so the curious path runs
+// too without recording a violation.
+TEST(AllocDiscipline, AuditorFragmentSightingsAreAllocationFree) {
+  constexpr std::size_t kN = 64;
+  const partition::PartitionSet parts = partition::make_bit_partitions(kN);
+  audit::ConfidentialityAuditor auditor(kN, &parts);
+  std::vector<std::uint32_t> dest_ids;
+  for (std::uint32_t p = 0; p < kN; p += 2) dest_ids.push_back(p);
+  const sim::Rumor rumor = sim::make_rumor(0, 1, {1, 2, 3, 4}, 64,
+                                           DynamicBitset::from_indices(kN, dest_ids));
+  auditor.on_inject(rumor, 0);
+
+  const auto envelope = [&](ProcessId to, PartitionIndex l, GroupIndex g) {
+    auto body = std::make_shared<core::PartialsPayload>();
+    core::Fragment f;
+    f.meta.key = core::FragmentKey{rumor.uid, l, g};
+    f.meta.dest = rumor.dest;
+    f.meta.num_groups = parts[l].num_groups();
+    f.data = {9, 9, 9, 9};
+    body->fragments.push_back(std::move(f));
+    return sim::Envelope{0, to, sim::ServiceTag{sim::ServiceKind::kGroupDistribution, 0},
+                         std::move(body)};
+  };
+  auditor.on_envelope_delivered(envelope(2, 0, 0), 1);  // first fragment
+
+  std::vector<sim::Envelope> later;
+  for (ProcessId p = 0; p < kN; ++p) {
+    const bool destination = rumor.dest.test(p);
+    for (PartitionIndex l = 0; l < parts.count(); ++l) {
+      for (GroupIndex g = 0; g < parts[l].num_groups(); ++g) {
+        if (destination || g == parts[l].group_of(p)) later.push_back(envelope(p, l, g));
+      }
+    }
+  }
+
+  const std::uint64_t allocs_before = alloc_count();
+  for (int pass = 0; pass < 2; ++pass) {  // new groups, then repeats
+    for (const auto& e : later) auditor.on_envelope_delivered(e, 2 + pass);
+  }
+  const std::uint64_t allocs = alloc_count() - allocs_before;
+
+  EXPECT_TRUE(auditor.knowledge().can_reconstruct(2, rumor.uid));
+  EXPECT_FALSE(auditor.knowledge().can_reconstruct(1, rumor.uid));
+  EXPECT_EQ(auditor.leaks(), 0u);
+  EXPECT_TRUE(auditor.violations().empty());
+  EXPECT_EQ(allocs, 0u) << "fragment sightings after the first must not touch the heap";
 }
 
 }  // namespace
