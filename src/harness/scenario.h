@@ -107,18 +107,13 @@ struct ScenarioResult {
   std::uint64_t max_by_kind[sim::kNumServiceKinds] = {};    // after warm-up
   std::uint64_t total_by_kind[sim::kNumServiceKinds] = {};  // after warm-up
 
-  // communication complexity (Section 7 discussion): serialized bytes.
-  // Since the wire codec (src/wire) these are ACTUAL encoded sizes — the
-  // exact bytes wire::encode_envelope() produces, frame header and checksum
-  // included.
+  // communication complexity (Section 7 discussion): serialized bytes,
+  // i.e. the exact bytes wire::encode_envelope() produces, frame header and
+  // checksum included.
   std::uint64_t max_bytes_per_round = 0;  // after warm-up
   std::uint64_t total_bytes = 0;          // whole run
   /// By-service split of total_bytes (E15 reports the breakdown).
   std::uint64_t total_bytes_by_kind[sim::kNumServiceKinds] = {};  // whole run
-  /// Whole-run bytes under the legacy fixed-width size model (what
-  /// total_bytes reported before the codec); exp_bytes/exp_msg_vs_n print
-  /// the modeled-vs-actual delta, i.e. what varint/delta encoding buys.
-  std::uint64_t total_bytes_modeled = 0;
 
   // delivery
   audit::QodReport qod;

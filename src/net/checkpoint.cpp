@@ -182,10 +182,10 @@ std::vector<CheckpointEvent> CheckpointJournal::events(std::uint64_t n, Round ro
 std::span<const std::uint8_t> CheckpointJournal::seal(const NodeCheckpoint& meta) {
   unseal();
   const std::vector<std::uint8_t>& b = w_.bytes();
-  hash_ = replay::fnv1a(b.data() + hashed_, b.size() - hashed_, hash_);
+  hash_ = fnv1a(b.data() + hashed_, b.size() - hashed_, hash_);
   hashed_ = b.size();
   put_trailer(w_, meta, count_);
-  w_.u64(replay::fnv1a(b.data() + hashed_, b.size() - hashed_, hash_));
+  w_.u64(fnv1a(b.data() + hashed_, b.size() - hashed_, hash_));
   sealed_ = true;
   return b;
 }
@@ -204,7 +204,7 @@ bool decode_checkpoint(const std::uint8_t* data, std::size_t len,
   // single field is interpreted.
   if (len < 8) return set_error(error, "state file truncated (no checksum)");
   const std::size_t body_len = len - 8;
-  if (replay::fnv1a(data, body_len) != replay::ByteReader(data + body_len, 8).u64()) {
+  if (fnv1a(data, body_len) != replay::ByteReader(data + body_len, 8).u64()) {
     return set_error(error, "state file checksum mismatch (corrupted)");
   }
 

@@ -55,6 +55,7 @@
 #include <vector>
 
 #include "common/bitset.h"
+#include "common/fnv.h"
 #include "common/types.h"
 #include "congos/config.h"
 #include "replay/codec.h"
@@ -140,7 +141,7 @@ class CheckpointJournal {
   std::uint64_t count_ = 0;
   bool sealed_ = false;
   /// FNV-1a state over the first hashed_ bytes of w_.
-  std::uint64_t hash_ = replay::kFnvOffset;
+  std::uint64_t hash_ = kFnvOffset;
   std::size_t hashed_ = 0;
 };
 

@@ -12,7 +12,7 @@
 // it cannot perturb the execution it is recording.
 #pragma once
 
-#include "replay/codec.h"
+#include "common/fnv.h"
 #include "replay/repro.h"
 #include "sim/engine.h"
 

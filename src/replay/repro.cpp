@@ -2,6 +2,7 @@
 
 #include <cstdio>
 
+#include "common/fnv.h"
 #include "replay/codec.h"
 
 namespace congos::replay {
@@ -148,8 +149,8 @@ bool get_crash_senders(ByteReader& r, adversary::CrashSenders::Options* o) {
                       static_cast<std::uint8_t>(sim::PartialDelivery::kRandom));
 }
 
-// v2 additions: the link-fault plan and the retransmission knobs are part of
-// the execution's pure-function inputs, so replay must restore both.
+// The link-fault plan and the retransmission knobs are part of the
+// execution's pure-function inputs, so replay must restore both.
 void put_faults(ByteWriter& w, const sim::FaultConfig& f) {
   w.f64(f.drop_rate);
   w.f64(f.dup_rate);
@@ -204,13 +205,11 @@ void put_config(ByteWriter& w, const harness::ScenarioConfig& cfg) {
   w.u32(static_cast<std::uint32_t>(cfg.baseline_fanout));
   w.boolean(cfg.audit_confidentiality);
   w.i64(cfg.min_drain);
-  // v2 extension (after every v1 field, so v1 readers of old files and this
-  // reader of v1 files agree on the prefix).
   put_faults(w, cfg.faults);
   put_retransmit(w, cfg.congos.retransmit);
 }
 
-bool get_config(ByteReader& r, harness::ScenarioConfig* cfg, std::uint32_t version) {
+bool get_config(ByteReader& r, harness::ScenarioConfig* cfg) {
   cfg->n = r.u64();
   cfg->seed = r.u64();
   cfg->rounds = r.i64();
@@ -242,11 +241,8 @@ bool get_config(ByteReader& r, harness::ScenarioConfig* cfg, std::uint32_t versi
   cfg->baseline_fanout = static_cast<int>(r.u32());
   cfg->audit_confidentiality = r.boolean();
   cfg->min_drain = r.i64();
-  if (version >= 2) {
-    if (!get_faults(r, &cfg->faults)) return false;
-    if (!get_retransmit(r, &cfg->congos.retransmit)) return false;
-  }
-  return r.ok();
+  if (!get_faults(r, &cfg->faults)) return false;
+  return get_retransmit(r, &cfg->congos.retransmit);
 }
 
 void put_decision(ByteWriter& w, const Decision& d) {
@@ -319,7 +315,7 @@ std::vector<std::uint8_t> encode(const ReproFile& file) {
     w.u64(file.faults_by_kind[f]);
   }
   w.u64(file.duplicates_suppressed);
-  w.u32(file.wire_codec_version);  // v3
+  w.u32(file.wire_codec_version);
   w.str(file.trace_tail);
 
   std::vector<std::uint8_t> bytes = w.take();
@@ -352,14 +348,13 @@ bool decode(const std::vector<std::uint8_t>& bytes, ReproFile* out,
     set_error(error, "checksum mismatch (truncated or corrupted file)");
     return false;
   }
-  const std::uint32_t version = r.u32();
-  if (version < 1 || version > kReproVersion) {
+  if (r.u32() != kReproVersion) {
     set_error(error, "unsupported .repro format version");
     return false;
   }
 
   ReproFile file;
-  if (!get_config(r, &file.config, version)) {
+  if (!get_config(r, &file.config)) {
     set_error(error, "malformed scenario config section");
     return false;
   }
@@ -392,15 +387,11 @@ bool decode(const std::vector<std::uint8_t>& bytes, ReproFile* out,
   file.qod_late = r.u64();
   file.qod_missing = r.u64();
   file.qod_data_mismatches = r.u64();
-  if (version >= 2) {
-    for (std::size_t f = 0; f < sim::kNumFaultKinds; ++f) {
-      file.faults_by_kind[f] = r.u64();
-    }
-    file.duplicates_suppressed = r.u64();
+  for (std::size_t f = 0; f < sim::kNumFaultKinds; ++f) {
+    file.faults_by_kind[f] = r.u64();
   }
-  if (version >= 3) {
-    file.wire_codec_version = r.u32();
-  }
+  file.duplicates_suppressed = r.u64();
+  file.wire_codec_version = r.u32();
   file.trace_tail = r.str();
   if (!r.ok()) {
     set_error(error, "malformed trailer section");

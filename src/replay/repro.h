@@ -30,11 +30,11 @@
 namespace congos::replay {
 
 inline constexpr std::uint32_t kReproMagic = 0x50524743;  // "CGRP" little-endian
-/// Version 2 added the link-fault config, the retransmission config and the
-/// fault counter totals; version 3 added the wire codec version the original
-/// run's byte accounting used. decode() still accepts version-1 and
-/// version-2 files (their fault fields default to "off"/zero and their
-/// wire_codec_version to 0 = "pre-codec modeled sizes").
+/// The only version decode() accepts. Version 3 carries the link-fault and
+/// retransmission configs, the fault counter totals and the wire codec
+/// version the original run's byte accounting used. Versions 1 and 2
+/// predate the wire codec, so their byte totals are not comparable to any
+/// current run; they are rejected.
 inline constexpr std::uint32_t kReproVersion = 3;
 
 /// One adversary decision, in execution order. Crash/restart decisions carry
@@ -84,15 +84,13 @@ struct ReproFile {
   std::uint64_t qod_missing = 0;
   std::uint64_t qod_data_mismatches = 0;
 
-  /// v2: link-fault counter totals of the original run (zero for v1 files
-  /// and fault-free runs). Indexed by sim::FaultKind.
+  /// Link-fault counter totals of the original run (zero for fault-free
+  /// runs). Indexed by sim::FaultKind.
   std::uint64_t faults_by_kind[sim::kNumFaultKinds] = {};
   std::uint64_t duplicates_suppressed = 0;
 
-  /// v3: wire::kWireFormatVersion at record time. total_bytes above is only
-  /// comparable across runs that serialized with the same codec version;
-  /// 0 means the file predates the wire codec (byte counts are the old
-  /// fixed-width model).
+  /// wire::kWireFormatVersion at record time. total_bytes above is only
+  /// comparable across runs that serialized with the same codec version.
   std::uint32_t wire_codec_version = 0;
 
   /// Human-readable TraceLog tail of the original run (empty when tracing

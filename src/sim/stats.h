@@ -34,17 +34,12 @@ class MessageStats {
  public:
   /// Record one sent message (counted even if later lost to a crash:
   /// Definition 3 counts messages *sent*). `bytes` is the actual serialized
-  /// size under the wire codec (envelope frame included); `modeled_bytes` is
-  /// the legacy fixed-width model's estimate for the same envelope, kept so
-  /// experiments can report the modeled-vs-actual delta. All byte counters
+  /// size under the wire codec (envelope frame included). All byte counters
   /// are std::uint64_t end-to-end — large-n sweeps overflow 32 bits.
-  void note_sent(ServiceKind kind, std::uint64_t bytes = 0,
-                 std::uint64_t modeled_bytes = 0) {
+  void note_sent(ServiceKind kind, std::uint64_t bytes = 0) {
     current_[static_cast<std::size_t>(kind)] += 1;
     current_bytes_ += bytes;
     bytes_by_kind_[static_cast<std::size_t>(kind)] += bytes;
-    total_modeled_bytes_ += modeled_bytes;
-    modeled_bytes_by_kind_[static_cast<std::size_t>(kind)] += modeled_bytes;
   }
 
   /// Record one fault-layer event against the envelope's service.
@@ -123,13 +118,6 @@ class MessageStats {
   std::uint64_t max_bytes_per_round() const { return max_bytes_; }
   /// Maximum bytes in a round over rounds >= start.
   std::uint64_t max_bytes_from(Round start) const;
-  /// Whole-run bytes under the legacy fixed-width size model (the number
-  /// total_bytes() reported before the wire codec landed); the benches
-  /// print the modeled-vs-actual delta.
-  std::uint64_t total_modeled_bytes() const { return total_modeled_bytes_; }
-  std::uint64_t total_modeled_bytes(ServiceKind kind) const {
-    return modeled_bytes_by_kind_[static_cast<std::size_t>(kind)];
-  }
   double mean_bytes_per_round() const {
     return rounds_ == 0 ? 0.0
                         : static_cast<double>(total_bytes_) /
@@ -160,15 +148,12 @@ class MessageStats {
   std::uint64_t total_bytes_ = 0;
   std::uint64_t max_bytes_ = 0;
   std::array<std::uint64_t, kNumServiceKinds> bytes_by_kind_{};
-  std::uint64_t total_modeled_bytes_ = 0;
-  std::array<std::uint64_t, kNumServiceKinds> modeled_bytes_by_kind_{};
   std::vector<std::uint64_t> per_round_bytes_;
 
   // The byte accumulation path must never narrow: a 1M-process sweep sends
   // >2^32 bytes in well under a minute of simulated time.
   static_assert(std::is_same_v<decltype(current_bytes_), std::uint64_t>);
   static_assert(std::is_same_v<decltype(total_bytes_), std::uint64_t>);
-  static_assert(std::is_same_v<decltype(total_modeled_bytes_), std::uint64_t>);
   static_assert(
       std::is_same_v<decltype(bytes_by_kind_)::value_type, std::uint64_t>);
   /// fault kind x service kind tallies (src/sim/faults.h). Value state like

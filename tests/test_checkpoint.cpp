@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "common/fnv.h"
 #include "net/checkpoint.h"
 #include "net/runtime.h"
 #include "net/sim_transport.h"
@@ -71,7 +72,7 @@ void put_u64_at(std::vector<std::uint8_t>& bytes, std::size_t at, std::uint64_t 
 /// the decoder's field checks can reject the file.
 void reseal(std::vector<std::uint8_t>& bytes) {
   const std::size_t body = bytes.size() - 8;
-  put_u64_at(bytes, body, replay::fnv1a(bytes.data(), body));
+  put_u64_at(bytes, body, fnv1a(bytes.data(), body));
 }
 
 TEST(CheckpointCodec, RoundTripsAllFields) {

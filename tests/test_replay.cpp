@@ -16,6 +16,7 @@
 #include "replay/recorder.h"
 #include "replay/repro.h"
 #include "common/bitset.h"
+#include "common/fnv.h"
 #include "sim/engine.h"
 #include "sim/trace.h"
 
@@ -75,14 +76,14 @@ TEST(Codec, HashMatchesGoldenFold) {
   // fnv1a_u64 folded over values must equal byte-wise fnv1a over their
   // little-endian encoding (the golden-trace definition in test_golden.cpp).
   const std::uint64_t values[] = {0, 1, 0xFFFFFFFFFFFFFFFFull, 12345};
-  std::uint64_t folded = replay::kFnvOffset;
+  std::uint64_t folded = kFnvOffset;
   ByteWriter w;
   for (std::uint64_t v : values) {
-    folded = replay::fnv1a_u64(folded, v);
+    folded = fnv1a_u64(folded, v);
     w.u64(v);
   }
   const auto bytes = w.take();
-  EXPECT_EQ(folded, replay::fnv1a(bytes.data(), bytes.size()));
+  EXPECT_EQ(folded, fnv1a(bytes.data(), bytes.size()));
 }
 
 // ---------------------------------------------------------------------------
@@ -166,11 +167,21 @@ TEST(ReproFile, EncodeDecodeRoundTrip) {
   EXPECT_EQ(g.trace_tail, f.trace_tail);
 }
 
-TEST(ReproFile, AcceptsVersion1Artifacts) {
-  // A byte-exact v1 artifact (written before the fault layer existed): the
-  // v2 decoder must accept it, defaulting the fault plan to "off" and the
-  // fault counters to zero. This pins the v1 wire layout - if decode's
-  // backward-compatibility path regresses, this is the test that fires.
+/// Re-stamps the trailing whole-file checksum after an in-place edit, so
+/// only the field-level checks can reject the file.
+void reseal(std::vector<std::uint8_t>& bytes) {
+  const std::size_t body = bytes.size() - 8;
+  const std::uint64_t sum = fnv1a(bytes.data(), body);
+  for (int b = 0; b < 8; ++b) {
+    bytes[body + b] = static_cast<std::uint8_t>(sum >> (8 * b));
+  }
+}
+
+TEST(ReproFile, RejectsVersion1Artifacts) {
+  // A byte-exact v1 artifact (written before the fault layer and the wire
+  // codec existed; its byte totals came from a fixed-width size model).
+  // Only the current version loads: the decoder must refuse it by version,
+  // not misparse it as a v3 layout.
   ByteWriter w;
   w.u32(replay::kReproMagic);
   w.u32(1);  // version 1
@@ -228,28 +239,22 @@ TEST(ReproFile, AcceptsVersion1Artifacts) {
   w.u64(0);               // qod_data_mismatches
   w.str("");              // trace_tail
   auto bytes = w.take();
-  const std::uint64_t sum = replay::fnv1a(bytes.data(), bytes.size());
-  for (int b = 0; b < 8; ++b) {
-    bytes.push_back(static_cast<std::uint8_t>(sum >> (8 * b)));
-  }
+  bytes.resize(bytes.size() + 8);
+  reseal(bytes);
 
   ReproFile out;
   std::string error;
-  ASSERT_TRUE(replay::decode(bytes, &out, &error)) << error;
-  EXPECT_EQ(out.config.n, 8u);
-  EXPECT_EQ(out.config.rounds, 32);
-  EXPECT_EQ(out.label, "v1-artifact");
-  EXPECT_EQ(out.round_deliveries, (std::vector<std::uint64_t>{1, 2, 3}));
-  // The v2 fields default to "fault layer off, nothing counted".
-  EXPECT_FALSE(out.config.faults.enabled());
-  EXPECT_EQ(out.config.faults, sim::FaultConfig{});
-  EXPECT_FALSE(out.config.congos.retransmit.enabled);
-  for (std::size_t k = 0; k < sim::kNumFaultKinds; ++k) {
-    EXPECT_EQ(out.faults_by_kind[k], 0u);
-  }
-  EXPECT_EQ(out.duplicates_suppressed, 0u);
-  // ...and the v3 field to "pre-codec".
-  EXPECT_EQ(out.wire_codec_version, 0u);
+  EXPECT_FALSE(replay::decode(bytes, &out, &error));
+  EXPECT_EQ(error, "unsupported .repro format version");
+}
+
+TEST(ReproFile, EncodingIsPinned) {
+  // The v3 layout is frozen: the whole encoded image of sample_file() is
+  // pinned by its length and FNV-1a hash, so any layout change must come
+  // with a kReproVersion bump.
+  const auto bytes = replay::encode(sample_file());
+  EXPECT_EQ(bytes.size(), 672u);
+  EXPECT_EQ(fnv1a(bytes.data(), bytes.size()), 12566219899227019664ull);
 }
 
 TEST(ReproFile, RejectsCorruptionEverywhere) {
@@ -287,20 +292,17 @@ TEST(ReproFile, RejectsBadMagicAndVersion) {
     EXPECT_FALSE(replay::decode(copy, &out, &error));
     EXPECT_NE(error.find("magic"), std::string::npos) << error;
   }
-  {
-    // Bump the version and re-stamp the trailing checksum so only the
-    // version check can reject it.
+  // Any version but kReproVersion is refused, older and newer alike (v1
+  // and v2 predate the wire codec). The checksum is re-stamped so only the
+  // version check can reject the file.
+  for (std::uint8_t version : {1, 2, 4}) {
     auto copy = bytes;
-    copy[4] += 1;
-    const std::size_t body = copy.size() - 8;
-    const std::uint64_t sum = replay::fnv1a(copy.data(), body);
-    for (int b = 0; b < 8; ++b) {
-      copy[body + b] = static_cast<std::uint8_t>(sum >> (8 * b));
-    }
+    copy[4] = version;
+    reseal(copy);
     ReproFile out;
     std::string error;
-    EXPECT_FALSE(replay::decode(copy, &out, &error));
-    EXPECT_NE(error.find("version"), std::string::npos) << error;
+    EXPECT_FALSE(replay::decode(copy, &out, &error)) << "version " << int{version};
+    EXPECT_EQ(error, "unsupported .repro format version");
   }
 }
 

@@ -1,16 +1,10 @@
-// Byte-accounting audit (Section 7 discussion + ROADMAP item 3): every
-// payload reports TWO serialized sizes — encoded_size(), the actual bytes
-// the wire codec emits, and modeled_size(), the legacy fixed-width model —
-// and the stats collector aggregates actual bytes per round.
+// Byte-accounting audit (Section 7 discussion): every payload reports its
+// serialized size, encoded_size() — the actual bytes the wire codec emits —
+// and the stats collector aggregates those bytes per round.
 //
-// The audit test at the top is the cross-check the wire-codec PR demanded:
-// it enumerates every payload kind and pins encoded_size() to the length
-// encode_payload() really produces, so a hand-maintained estimate can never
-// silently disagree with the serializer again. (That check is what exposed
-// the old bugs fixed in this PR: sim::Rumor's estimate ignored injected_at,
-// Fragment counted the group-count field at the wrong width against a
-// comment saying otherwise, and StrongAckPayload had no override at all —
-// every ack billed 8 bytes no matter how many uids it carried.)
+// The audit test at the top enumerates every payload kind and pins
+// encoded_size() to the length encode_payload() really produces, so a size
+// override can never silently disagree with the serializer.
 #include <gtest/gtest.h>
 
 #include "baseline/baseline_payload.h"
@@ -18,6 +12,7 @@
 #include "gossip/continuous_gossip.h"
 #include "harness/scenario.h"
 #include "sim/stats.h"
+#include "wire/envelope.h"
 #include "wire/payload_codec.h"
 
 namespace congos {
@@ -157,98 +152,69 @@ TEST(WireSizeAudit, OpaquePayloadsAreNotSerializable) {
   EXPECT_FALSE(wire::encode_payload(s, opaque));
 }
 
-TEST(WireSize, RumorModelCountsEveryField) {
-  EXPECT_GT(sim::modeled_size(small_rumor(64, 100)),
-            sim::modeled_size(small_rumor(64, 10)));
-  EXPECT_GT(sim::modeled_size(small_rumor(6400, 10)),
-            sim::modeled_size(small_rumor(64, 10)));
-  // uid (12) + deadline (8) + injected_at (8) + dest bitset + payload: the
-  // pre-codec estimate dropped injected_at.
-  EXPECT_EQ(sim::modeled_size(small_rumor(64, 10)), 12u + 8u + 8u + 8u + 10u);
-}
-
-TEST(WireSize, FragmentCountsGroupCountExactlyOnce) {
-  EXPECT_GT(core::modeled_size(small_fragment(64, 100)),
-            core::modeled_size(small_fragment(64, 10)));
-  // The whole layout in one formula (fragment.h documents it next to the
-  // codec walk): meta fixed part + dest bitset + share bytes.
-  EXPECT_EQ(core::modeled_size(small_fragment(64, 10)),
-            core::kFragmentMetaModeledBytes + 8u + 10u);
-  EXPECT_EQ(core::kFragmentMetaModeledBytes, 12u + 4u + 4u + 8u + 8u + 4u);
-}
-
 TEST(WireSize, GossipMsgSumsRumors) {
   gossip::GossipMsg msg;
-  EXPECT_EQ(msg.modeled_size(), 4u);
   EXPECT_EQ(msg.encoded_size(), 1u);  // just the varint count
   gossip::GossipRumor r;
   r.dest = DynamicBitset(64);
   auto body = std::make_shared<core::FragmentBody>();
   body->fragment = small_fragment(64, 16);
   r.body = body;
-  const auto one_m = msg.modeled_size();
   const auto one_e = msg.encoded_size();
   msg.rumors.push_back(r);
-  const auto two_m = msg.modeled_size();
   const auto two_e = msg.encoded_size();
   msg.rumors.push_back(r);
-  // Identical rumors (gid delta 0) grow both sizes by equal increments.
-  EXPECT_EQ(msg.modeled_size() - two_m, two_m - one_m);
+  // Identical rumors (gid delta 0) grow the size by equal increments, each
+  // at least the nested fragment body.
   EXPECT_EQ(msg.encoded_size() - two_e, two_e - one_e);
-  EXPECT_GT(two_m, one_m);
-  EXPECT_GT(two_e, one_e);
-}
-
-TEST(WireSize, BatchAndDirectPayloads) {
-  baseline::BaselineRumorPayload single;
-  single.rumor = small_rumor(64, 16);
-  EXPECT_EQ(single.modeled_size(), sim::modeled_size(single.rumor));
-
-  baseline::BaselineBatchPayload batch;
-  batch.rumors = {small_rumor(64, 16), small_rumor(64, 16)};
-  EXPECT_EQ(batch.modeled_size(), 4u + 2 * sim::modeled_size(small_rumor(64, 16)));
-
-  core::DirectRumorPayload direct;
-  direct.rumor = small_rumor(64, 16);
-  EXPECT_EQ(direct.modeled_size(), sim::modeled_size(direct.rumor));
+  EXPECT_GT(two_e - one_e, body->encoded_size());
 }
 
 TEST(WireSize, MetadataPayloadsAreDataFree) {
   // Shares and reports carry identifiers only: size independent of any
   // rumor payload length (that is what makes them safe to gossip widely).
+  // Each hit costs three small varints (target, uid source, uid seq)
+  // whatever the rumor's payload, while a fragment grows with it.
+  const core::Hit hit{4, RumorUid{1, 2}};
   core::HitSetShareBody share;
-  share.hits.resize(5);
-  EXPECT_EQ(share.modeled_size(), 24u + 5 * core::kHitModeledBytes);
+  share.dline = 32;
+  const auto empty_share = share.encoded_size();
+  share.hits.assign(5, hit);
+  EXPECT_EQ(share.encoded_size(), empty_share + 5 * 3u);
   core::DistributionReportBody report;
-  report.hits.resize(3);
-  EXPECT_EQ(report.modeled_size(), 24u + 3 * core::kHitModeledBytes);
+  report.dline = 32;
+  const auto empty_report = report.encoded_size();
+  report.hits.assign(3, hit);
+  EXPECT_EQ(report.encoded_size(), empty_report + 3 * 3u);
   core::ProxyAckPayload ack;
-  EXPECT_EQ(ack.modeled_size(), 8u);
+  ack.dline = 32;
+  EXPECT_EQ(ack.encoded_size(), 1u);  // zigzag(32) fits one varint byte
+  core::FragmentBody frag;
+  frag.fragment = small_fragment(64, 4096);
+  EXPECT_GT(frag.encoded_size(), 4096u);
 }
 
 TEST(WireSize, StrongAckScalesWithUids) {
-  // The pre-codec version of this payload had NO size override: every ack
-  // was billed the 8-byte opaque default regardless of contents.
+  // An ack's size grows with the uids it carries; the 8-byte opaque default
+  // would bill every ack alike.
   baseline::StrongAckPayload ack;
-  EXPECT_EQ(ack.modeled_size(), 4u);
+  EXPECT_EQ(ack.encoded_size(), 1u);  // just the varint count
   ack.uids.resize(10, RumorUid{1, 1});
-  EXPECT_EQ(ack.modeled_size(), 4u + 10 * 12u);
-  EXPECT_GT(ack.encoded_size(), 10u);  // >= 1 byte per uid on the real wire
+  EXPECT_EQ(ack.encoded_size(), 1u + 10 * 2u);  // source + seq varint per uid
 }
 
 TEST(WireSize, StatsAccumulateBytes) {
   sim::MessageStats s;
-  s.note_sent(sim::ServiceKind::kProxy, 100, 120);
-  s.note_sent(sim::ServiceKind::kProxy, 50, 60);
+  s.note_sent(sim::ServiceKind::kProxy, 100);
+  s.note_sent(sim::ServiceKind::kProxy, 50);
   s.end_round(0);
-  s.note_sent(sim::ServiceKind::kFallback, 10, 12);
+  s.note_sent(sim::ServiceKind::kFallback, 10);
   s.end_round(1);
   EXPECT_EQ(s.total_bytes(), 160u);
   EXPECT_EQ(s.max_bytes_per_round(), 150u);
   EXPECT_EQ(s.max_bytes_from(1), 10u);
   EXPECT_NEAR(s.mean_bytes_per_round(), 80.0, 1e-9);
-  EXPECT_EQ(s.total_modeled_bytes(), 192u);
-  EXPECT_EQ(s.total_modeled_bytes(sim::ServiceKind::kProxy), 180u);
+  EXPECT_EQ(s.total_bytes(sim::ServiceKind::kProxy), 150u);
 }
 
 TEST(WireSize, StatsByteCountersDoNotNarrow) {
@@ -256,11 +222,10 @@ TEST(WireSize, StatsByteCountersDoNotNarrow) {
   // path is std::uint64_t (static_asserts in stats.h pin the member types).
   sim::MessageStats s;
   const std::uint64_t big = 1ull << 40;
-  for (int i = 0; i < 8; ++i) s.note_sent(sim::ServiceKind::kProxy, big, big);
+  for (int i = 0; i < 8; ++i) s.note_sent(sim::ServiceKind::kProxy, big);
   s.end_round(0);
   EXPECT_EQ(s.total_bytes(), 8 * big);
   EXPECT_EQ(s.total_bytes(sim::ServiceKind::kProxy), 8 * big);
-  EXPECT_EQ(s.total_modeled_bytes(), 8 * big);
   EXPECT_GT(s.total_bytes(), std::uint64_t{0xFFFFFFFFull});
 }
 
@@ -275,12 +240,14 @@ TEST(WireSize, ScenarioReportsBytes) {
   const auto r = harness::run_scenario(cfg);
   EXPECT_GT(r.total_bytes, 0u);
   EXPECT_GT(r.max_bytes_per_round, 0u);
-  // Bytes strictly exceed message count (every frame has a header and an
-  // 8-byte checksum).
-  EXPECT_GT(r.total_bytes, r.total_messages * sim::kEnvelopeHeaderBytes);
-  // The compact encoding beats the fixed-width model: actual < modeled.
-  EXPECT_GT(r.total_bytes_modeled, 0u);
-  EXPECT_LT(r.total_bytes, r.total_bytes_modeled);
+  // Every frame is at least the smallest possible frame (all-zero header
+  // varints, empty body, 8-byte checksum), and direct sends carry a body.
+  sim::Envelope smallest;
+  smallest.from = 0;
+  smallest.to = 0;
+  const std::uint64_t min_frame = wire::encoded_envelope_size(smallest, 0);
+  EXPECT_GT(min_frame, wire::kChecksumBytes);
+  EXPECT_GT(r.total_bytes, r.total_messages * min_frame);
 }
 
 TEST(WireSize, CongosBytesDominatedByFragmentTraffic) {
@@ -298,10 +265,6 @@ TEST(WireSize, CongosBytesDominatedByFragmentTraffic) {
   // Same message counts (payload length does not change the protocol), but
   // much larger byte volume.
   EXPECT_GT(big.total_bytes, small.total_bytes * 2);
-  // Delta-gid and shared-header batching compress the real wire well below
-  // the fixed-width model on fragment-heavy traffic.
-  EXPECT_LT(small.total_bytes, small.total_bytes_modeled);
-  EXPECT_LT(big.total_bytes, big.total_bytes_modeled);
 }
 
 }  // namespace

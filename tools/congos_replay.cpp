@@ -96,8 +96,7 @@ void print_faults(const replay::ReproFile& file) {
   std::printf("\nduplicates       : %llu suppressed by gossip idempotence\n",
               static_cast<unsigned long long>(file.duplicates_suppressed));
   if (!file.config.faults.enabled()) {
-    std::printf("(fault layer was off for this run - a v1 artifact reads the "
-                "same way)\n");
+    std::printf("(fault layer was off for this run)\n");
   }
 }
 
@@ -238,15 +237,10 @@ int main(int argc, char** argv) {
               "%016" PRIx64 "\n",
               file.decisions.size(), file.round_deliveries.size(),
               file.trace_hash);
-  if (file.wire_codec_version == 0) {
-    std::printf("wire codec       : pre-codec (byte totals use the old "
-                "fixed-width model)\n");
-  } else {
-    std::printf("wire codec       : v%u%s\n", file.wire_codec_version,
-                file.wire_codec_version == wire::kWireFormatVersion
-                    ? ""
-                    : " (DIFFERS from this build - byte totals not comparable)");
-  }
+  std::printf("wire codec       : v%u%s\n", file.wire_codec_version,
+              file.wire_codec_version == wire::kWireFormatVersion
+                  ? ""
+                  : " (DIFFERS from this build - byte totals not comparable)");
 
   if (flags.get_bool("schedule", false)) {
     print_schedule(file);
